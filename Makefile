@@ -1,15 +1,20 @@
 GO ?= go
 
-.PHONY: check vet lint build test race fuzz bench benchsmoke benchcheck benchjson benchdiff nativebench loadsmoke loadjson servesmoke loadurl clustersmoke clusterload updatesmoke updateload precsmoke
+.PHONY: check fmt vet lint build test race fuzz bench benchsmoke benchcheck benchjson benchdiff nativebench loadsmoke loadjson servesmoke loadurl clustersmoke clusterload updatesmoke updateload precsmoke
 
 # staticcheck version pinned so local runs and CI agree; `go run` fetches
 # it on demand (network) — lint skips with a notice when that fails.
 STATICCHECK_VERSION ?= 2025.1
 
-## check: the tier-1 gate — vet, build, full test suite, and a race-detector
-## pass over the concurrency-bearing packages (the native shared-memory
-## solver, the virtual machine, fault injection, and the harness).
-check: vet build test race
+## check: the tier-1 gate — gofmt, vet, build, full test suite, and a
+## race-detector pass over the concurrency-bearing packages (the native
+## shared-memory solver, the virtual machine, fault injection, and the
+## harness).
+check: fmt vet build test race
+
+## fmt: fail when any Go file is not gofmt-formatted (the CI fmt step).
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -42,10 +47,12 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-## benchsmoke: one iteration of every native-engine benchmark (the CI step);
-## catches benchmarks that stop compiling or error without paying for timing.
+## benchsmoke: one iteration of every native-engine benchmark and of the
+## single-RHS sweep microbenchmark (the CI step); catches benchmarks that
+## stop compiling or error without paying for timing.
 benchsmoke:
 	$(GO) test -run=NONE -bench=Native -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench=Flat1Sweeps -benchtime=1x ./internal/native
 
 ## benchcheck: one-iteration kernel shoot-out to a scratch json, validated by
 ## benchdiff -check (the CI step) — fails on NaN/zero-throughput rows without

@@ -46,7 +46,7 @@ func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
 	if a.N != sym.N {
 		return nil, fmt.Errorf("chol: matrix size %d != symbolic size %d", a.N, sym.N)
 	}
-	panels := make([][]float64, sym.NSuper)
+	panels := carvePanels[float64](sym)
 	updates := make([][]float64, sym.NSuper) // child Schur complements awaiting the parent
 	pos := make([]int, sym.N)                // global row -> front-local index scratch
 	for i := range pos {
@@ -90,16 +90,12 @@ func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
 		if err := dense.PartialCholesky(front, ns, ns, t); err != nil {
 			return nil, fmt.Errorf("chol: supernode %d (cols %d..%d): %w", s, j0, j0+t-1, err)
 		}
-		// extract the n×t factor panel
-		panel := make([]float64, ns*t)
+		// extract the n×t factor panel: the slab arrives zeroed, so the
+		// strictly-upper entries of the triangular top are already right
+		panel := panels[s]
 		for j := 0; j < t; j++ {
-			copy(panel[j*ns:(j+1)*ns], front[j*ns:(j+1)*ns])
-			// zero the strictly-upper entries of the triangular top
-			for i := 0; i < j; i++ {
-				panel[j*ns+i] = 0
-			}
+			copy(panel[j*ns+j:(j+1)*ns], front[j*ns+j:(j+1)*ns])
 		}
-		panels[s] = panel
 		// save the Schur complement for the parent
 		if nu := ns - t; nu > 0 {
 			u := make([]float64, nu*nu)
@@ -115,6 +111,28 @@ func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
 		}
 	}
 	return &Factor{Sym: sym, Panels: panels}, nil
+}
+
+// carvePanels returns every supernode's Height×Width trapezoid carved from
+// one zeroed slab, back to back in supernode order — the postorder both
+// sweeps walk, so the hardware prefetcher follows the panel stream across
+// supernode boundaries instead of chasing per-supernode allocations. Each
+// panel's capacity is clamped to its length: an append on one panel
+// reallocates rather than silently overwriting its neighbour.
+func carvePanels[T float32 | float64](sym *symbolic.Factor) [][]T {
+	total := 0
+	for s := 0; s < sym.NSuper; s++ {
+		total += sym.Height(s) * sym.Width(s)
+	}
+	slab := make([]T, total)
+	panels := make([][]T, sym.NSuper)
+	off := 0
+	for s := range panels {
+		n := sym.Height(s) * sym.Width(s)
+		panels[s] = slab[off : off+n : off+n]
+		off += n
+	}
+	return panels
 }
 
 // NnzL returns the number of stored factor entries (trapezoid entries).

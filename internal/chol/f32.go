@@ -32,20 +32,12 @@ func (f *Factor) EnsureFloat32() {
 	if f.Panels == nil {
 		panic("chol: EnsureFloat32 on a factor with no value planes")
 	}
-	total := 0
-	for s := 0; s < f.Sym.NSuper; s++ {
-		total += f.Sym.Height(s) * f.Sym.Width(s)
-	}
-	slab := make([]float32, total)
-	panels := make([][]float32, f.Sym.NSuper)
-	off := 0
+	panels := carvePanels[float32](f.Sym)
 	for s, p := range f.Panels {
-		dst := slab[off : off+len(p) : off+len(p)]
-		off += len(p)
+		dst := panels[s]
 		for i, v := range p {
 			dst[i] = float32(v)
 		}
-		panels[s] = dst
 	}
 	f.Panels32 = panels
 }

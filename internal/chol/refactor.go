@@ -173,17 +173,11 @@ func (f *Factor) Refactorize(a *sparse.SymCSC) (*Factor, error) {
 			return nil, err
 		}
 	}
-	// One slab for every panel: fully overwritten below, freed as a unit
-	// when the swapped-out factor drains.
-	total := 0
-	for s := 0; s < sym.NSuper; s++ {
-		total += sym.Height(s) * sym.Width(s)
-	}
-	slab := make([]float64, total)
-	panels := make([][]float64, sym.NSuper)
+	// One slab for every panel, freed as a unit when the swapped-out
+	// factor drains.
+	panels := carvePanels[float64](sym)
 	front := make([]float64, pl.maxFront)
 	stack := make([]float64, pl.updStack)
-	off := 0
 	for s := 0; s < sym.NSuper; s++ {
 		ns := sym.Height(s)
 		t := sym.Width(s)
@@ -217,12 +211,10 @@ func (f *Factor) Refactorize(a *sparse.SymCSC) (*Factor, error) {
 		// The slab arrives zeroed from make, so the strictly-upper part
 		// of each panel's triangular top is already correct; copy each
 		// column from the diagonal down (contiguous on both sides).
-		panel := slab[off : off+ns*t]
-		off += ns * t
+		panel := panels[s]
 		for j := 0; j < t; j++ {
 			copy(panel[j*ns+j:(j+1)*ns], fr[j*ns+j:(j+1)*ns])
 		}
-		panels[s] = panel
 		if nu := ns - t; nu > 0 {
 			u := stack[pl.updOff[s]:]
 			for j := 0; j < nu; j++ {

@@ -3,6 +3,7 @@ package chol
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/order"
@@ -18,6 +19,28 @@ func perturb(a *sparse.SymCSC, s float64) *sparse.SymCSC {
 		vals[i] = s * v
 	}
 	return &sparse.SymCSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: vals}
+}
+
+// checkSlabLayout asserts the panel layout both Factorize and Refactorize
+// promise: every panel is carved from one slab, back to back in
+// supernode order, with its capacity clamped to its length (so an append
+// on one panel can never overwrite the next).
+func checkSlabLayout[T float32 | float64](t *testing.T, what string, panels [][]T) {
+	t.Helper()
+	var elem T
+	for s, p := range panels {
+		if cap(p) != len(p) {
+			t.Fatalf("%s: panel %d has cap %d != len %d", what, s, cap(p), len(p))
+		}
+		if s == 0 {
+			continue
+		}
+		prev := panels[s-1]
+		end := uintptr(unsafe.Pointer(unsafe.SliceData(prev))) + uintptr(len(prev))*unsafe.Sizeof(elem)
+		if start := uintptr(unsafe.Pointer(unsafe.SliceData(p))); start != end {
+			t.Fatalf("%s: panel %d does not start where panel %d ends (not one slab in supernode order)", what, s, s-1)
+		}
+	}
 }
 
 // TestRefactorizeBitwise pins the core contract: Refactorize(a') is
@@ -37,6 +60,7 @@ func TestRefactorizeBitwise(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, ap := prep(t, tc.a, tc.perm)
+			checkSlabLayout(t, "Factorize", f.Panels)
 			cur := f
 			for round, scale := range []float64{2.5, 0.125, 7} {
 				na := perturb(ap, scale)
@@ -51,6 +75,8 @@ func TestRefactorizeBitwise(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: Factorize oracle: %v", round, err)
 				}
+				checkSlabLayout(t, "Refactorize", nf.Panels)
+				checkSlabLayout(t, "Factorize oracle", want.Panels)
 				for s := range nf.Panels {
 					for k, v := range nf.Panels[s] {
 						if v != want.Panels[s][k] {
@@ -69,6 +95,8 @@ func TestRefactorizeBitwise(t *testing.T) {
 				}
 				cur = nf
 			}
+			cur.EnsureFloat32()
+			checkSlabLayout(t, "EnsureFloat32", cur.Panels32)
 		})
 	}
 }

@@ -86,7 +86,7 @@ func (sv *Solver) forwardSupernodeM(s int) error {
 // backwardSupernode1 is the single-RHS back-substitution task body. The
 // blocked structure (width, descending block order, per-block partial
 // sums with the simulator's zero skip) is the generic kernel's; with one
-// RHS the partial sum lives in a register, so no accumulator buffer is
+// RHS the partial sums live in registers, so no accumulator buffer is
 // needed — each v[r0+j] subtraction reads only rows at or beyond the
 // block end, which later scaling never touches, keeping the operation
 // order per element identical to the buffered variant.
@@ -103,6 +103,7 @@ func (sv *Solver) backwardSupernode1(s int) error {
 			v[t+i] = pv[pos]
 		}
 	}
+	finite := allFinite(v[t:ns])
 	bsz := sv.shape[s].bsz // the simulator's p=1 blocking, hoisted to NewSolver
 	tb := (t + bsz - 1) / bsz
 	for k := tb - 1; k >= 0; k-- {
@@ -112,18 +113,7 @@ func (sv *Solver) backwardSupernode1(s int) error {
 			r1 = t
 		}
 		bw := r1 - r0
-		for j := 0; j < bw; j++ {
-			col := panel[(r0+j)*ns : (r0+j+1)*ns]
-			acc := 0.0
-			for li := r1; li < ns; li++ {
-				lij := col[li]
-				if lij == 0 {
-					continue
-				}
-				acc += lij * v[li]
-			}
-			v[r0+j] -= acc
-		}
+		backwardSums1(panel, ns, r0, r1, v, finite)
 		for j := bw - 1; j >= 0; j-- {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
 			xj := v[r0+j]
@@ -135,12 +125,92 @@ func (sv *Solver) backwardSupernode1(s int) error {
 			}
 			v[r0+j] = xj * (1 / col[r0+j])
 		}
+		// the next block's sums also read the rows just solved
+		finite = finite && allFinite(v[r0:r1])
 	}
 	xd := sv.cur.x.Data
 	for j := 0; j < t; j++ {
 		xd[j0+j] = v[j]
 	}
 	return nil
+}
+
+// backwardSums1 subtracts from each v[j], r0 ≤ j < r1, the back-
+// substitution partial sum acc_j = Σ L[li,j]·v[li] over li = r1..ns-1 in
+// ascending li order, panel being one supernode's trapezoid (column-major,
+// leading dimension ns) in either storage precision. The sums are
+// independent, so four run interleaved in one pass over v[r1:ns] — four
+// FP-add chains in flight instead of one serial chain — and the
+// remainder one at a time; each sum still accumulates in ascending row
+// order from +0, so every acc_j is bitwise the serial one.
+//
+// The simulator skips zero entries (lij == 0 → no add). When finite
+// reports that every v[li] the sums read is finite, the skip is dropped
+// without changing a bit: acc starts at +0 and, under round-to-nearest,
+// an addition returns −0 only when both operands are −0, so acc is never
+// −0; for finite v[li], 0·v[li] is ±0, and adding ±0 to any acc other
+// than −0 returns acc unchanged (NaN and ±Inf included). The loop then
+// has no data-dependent branch — amalgamation leaves ~9% explicit zeros
+// scattered through the rectangles, an unpredictable branch per entry.
+// A non-finite v[li] would turn 0·v[li] into NaN, so then the exact
+// zero-skip loop runs instead.
+func backwardSums1[T float32 | float64](panel []T, ns, r0, r1 int, v []float64, finite bool) {
+	src := v[r1:ns]
+	if !finite {
+		for j := r0; j < r1; j++ {
+			col := panel[j*ns+r1 : (j+1)*ns]
+			col = col[:len(src)]
+			acc := 0.0
+			for i, x := range src {
+				lij := col[i]
+				if lij == 0 {
+					continue
+				}
+				acc += float64(lij) * x
+			}
+			v[j] -= acc
+		}
+		return
+	}
+	j := r0
+	for ; j+4 <= r1; j += 4 {
+		c0 := panel[j*ns+r1 : (j+1)*ns]
+		c1 := panel[(j+1)*ns+r1 : (j+2)*ns]
+		c2 := panel[(j+2)*ns+r1 : (j+3)*ns]
+		c3 := panel[(j+3)*ns+r1 : (j+4)*ns]
+		c0, c1, c2, c3 = c0[:len(src)], c1[:len(src)], c2[:len(src)], c3[:len(src)]
+		a0, a1, a2, a3 := 0.0, 0.0, 0.0, 0.0
+		for i, x := range src {
+			a0 += float64(c0[i]) * x
+			a1 += float64(c1[i]) * x
+			a2 += float64(c2[i]) * x
+			a3 += float64(c3[i]) * x
+		}
+		v[j] -= a0
+		v[j+1] -= a1
+		v[j+2] -= a2
+		v[j+3] -= a3
+	}
+	for ; j < r1; j++ {
+		col := panel[j*ns+r1 : (j+1)*ns]
+		col = col[:len(src)]
+		acc := 0.0
+		for i, x := range src {
+			acc += float64(col[i]) * x
+		}
+		v[j] -= acc
+	}
+}
+
+// allFinite reports whether every element of xs is finite (x−x is 0 for
+// finite x and NaN for ±Inf and NaN).
+func allFinite(xs []float64) bool {
+	for _, x := range xs {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // backwardSupernodeM is the multi-RHS back-substitution task body. The

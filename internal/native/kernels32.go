@@ -17,7 +17,8 @@ import (
 //
 // Structure is copied line for line from the float64 kernels: same
 // ascending-column forward order with reciprocal scaling, same blocked
-// descending backward partial sums with the simulator's zero skip, same
+// descending backward partial sums with the simulator's zero skip (the
+// single-RHS sums are one shared generic helper, backwardSums1), same
 // tile/strip geometry, and the shared gather/scatter prologues are
 // reused verbatim (they touch only arena buffers, never the panels).
 // The float64 kernels stay byte-for-byte untouched, preserving their
@@ -109,6 +110,7 @@ func (sv *Solver) backwardSupernode1F32(s int) error {
 			v[t+i] = pv[pos]
 		}
 	}
+	finite := allFinite(v[t:ns])
 	bsz := sv.shape[s].bsz // the simulator's p=1 blocking, hoisted to NewSolver
 	tb := (t + bsz - 1) / bsz
 	for k := tb - 1; k >= 0; k-- {
@@ -118,18 +120,7 @@ func (sv *Solver) backwardSupernode1F32(s int) error {
 			r1 = t
 		}
 		bw := r1 - r0
-		for j := 0; j < bw; j++ {
-			col := panel[(r0+j)*ns : (r0+j+1)*ns]
-			acc := 0.0
-			for li := r1; li < ns; li++ {
-				lij := col[li]
-				if lij == 0 {
-					continue
-				}
-				acc += float64(lij) * v[li]
-			}
-			v[r0+j] -= acc
-		}
+		backwardSums1(panel, ns, r0, r1, v, finite)
 		for j := bw - 1; j >= 0; j-- {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
 			xj := v[r0+j]
@@ -142,6 +133,8 @@ func (sv *Solver) backwardSupernode1F32(s int) error {
 			}
 			v[r0+j] = xj * (1 / piv)
 		}
+		// the next block's sums also read the rows just solved
+		finite = finite && allFinite(v[r0:r1])
 	}
 	xd := sv.cur.x.Data
 	for j := 0; j < t; j++ {

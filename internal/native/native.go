@@ -120,9 +120,9 @@ func DefaultOptions() Options { return Options{} }
 // that builds solvers per request, however, must Close them: parked
 // pools pile up until the garbage collector gets around to finalizers.
 type Solver struct {
-	F        *chol.Factor
-	workers  int
-	b        int
+	F         *chol.Factor
+	workers   int
+	b         int
 	grain     int
 	strategy  Strategy
 	kernel    Kernel
